@@ -60,8 +60,8 @@ func TestSpillBoundedMemoryEquivalence(t *testing.T) {
 	bounded := cfg
 	bounded.StateBudget = budget
 	bounded.SpillFS = storage.NewMemFS()
-	// Small segments keep MemFS faults cheap (its Open snapshots the
-	// whole file); production uses *os.File ReaderAt spans instead.
+	// Small segments make the store rotate, so faults also read
+	// through sealed segments' handles.
 	bounded.SpillSegmentBytes = 64 << 10
 	bounded.Output = func(d Delta) { got = append(got, deltaKey(d)) }
 	be := MustNew(bounded)

@@ -14,12 +14,14 @@ import (
 // touching the log or store logic.
 type FS interface {
 	MkdirAll(dir string) error
-	// Create opens path for writing, truncating any existing file.
+	// Create opens path for reading and writing, truncating any
+	// existing file.
 	Create(path string) (File, error)
-	// OpenAppend opens path for appending, creating it if absent.
+	// OpenAppend opens path for reading and appending, creating it if
+	// absent.
 	OpenAppend(path string) (File, error)
 	// Open opens path for reading.
-	Open(path string) (io.ReadCloser, error)
+	Open(path string) (Reader, error)
 	// ReadDir returns the names in dir, sorted. A missing directory
 	// yields an empty list, not an error.
 	ReadDir(dir string) ([]string, error)
@@ -34,11 +36,20 @@ type FS interface {
 	Size(path string) (int64, error)
 }
 
-// File is a writable log or checkpoint file.
+// File is a log, checkpoint or spill-segment file. Writes append;
+// ReadAt sees every byte written so far through the same handle.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	Sync() error
 	Close() error
+}
+
+// Reader is a file opened for reading.
+type Reader interface {
+	io.Reader
+	io.ReaderAt
+	io.Closer
 }
 
 // OS returns the real filesystem.
@@ -49,14 +60,14 @@ type osFS struct{}
 func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
 func (osFS) Create(path string) (File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	return os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 }
 
 func (osFS) OpenAppend(path string) (File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	return os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
 }
 
-func (osFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
+func (osFS) Open(path string) (Reader, error) { return os.Open(path) }
 
 func (osFS) ReadDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
@@ -184,9 +195,9 @@ func (c *CrashFS) OpenAppend(path string) (File, error) {
 	return &crashFile{fs: c, f: f}, nil
 }
 
-func (c *CrashFS) Open(path string) (io.ReadCloser, error) { return c.inner.Open(path) }
-func (c *CrashFS) ReadDir(dir string) ([]string, error)    { return c.inner.ReadDir(dir) }
-func (c *CrashFS) Size(path string) (int64, error)         { return c.inner.Size(path) }
+func (c *CrashFS) Open(path string) (Reader, error)     { return c.inner.Open(path) }
+func (c *CrashFS) ReadDir(dir string) ([]string, error) { return c.inner.ReadDir(dir) }
+func (c *CrashFS) Size(path string) (int64, error)      { return c.inner.Size(path) }
 
 func (c *CrashFS) Rename(oldPath, newPath string) error {
 	if err := c.mutate(); err != nil {
@@ -241,6 +252,9 @@ func (cf *crashFile) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// ReadAt passes through: reads keep working after the crash.
+func (cf *crashFile) ReadAt(p []byte, off int64) (int, error) { return cf.f.ReadAt(p, off) }
 
 func (cf *crashFile) Sync() error {
 	if err := cf.fs.mutate(); err != nil {

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +56,18 @@ func (f *memFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// ReadAt reads the file's current bytes under the lock, so it sees
+// every write made so far.
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	data, ok := f.fs.files[f.path]
+	if !ok {
+		return 0, fmt.Errorf("memfs: read %s: file does not exist", f.path)
+	}
+	return bytes.NewReader(data).ReadAt(p, off)
+}
+
 func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Close() error { return nil }
 
@@ -78,9 +89,14 @@ func (m *MemFS) OpenAppend(path string) (File, error) {
 	return &memFile{fs: m, path: path}, nil
 }
 
+// memReader is a snapshot opened by Open.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
+
 // Open implements FS: open for reading. The reader sees a snapshot of
 // the content at Open time.
-func (m *MemFS) Open(path string) (io.ReadCloser, error) {
+func (m *MemFS) Open(path string) (Reader, error) {
 	m.mu.Lock()
 	data, ok := m.files[path]
 	snapshot := append([]byte(nil), data...)
@@ -88,7 +104,7 @@ func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("memfs: open %s: file does not exist", path)
 	}
-	return io.NopCloser(bytes.NewReader(snapshot)), nil
+	return memReader{bytes.NewReader(snapshot)}, nil
 }
 
 // ReadDir implements FS: immediate children of dir, sorted. A missing

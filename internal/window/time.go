@@ -11,7 +11,8 @@ import (
 // entry that fell out of the window.
 type Slider interface {
 	// Slide admits one tuple and returns the expired entries, oldest
-	// first.
+	// first. The slice is owned by the window and valid only until the
+	// next Slide.
 	Slide(ref tuple.Ref, key tuple.Value, ts uint64) []Entry
 	// Len returns the number of live tuples.
 	Len() int
@@ -23,7 +24,8 @@ type Slider interface {
 // entry expires per admission. The timestamp is ignored.
 func (w *Window) Slide(ref tuple.Ref, key tuple.Value, _ uint64) []Entry {
 	if exp, ok := w.Admit(ref, key); ok {
-		return []Entry{exp}
+		w.expired[0] = exp
+		return w.expired[:]
 	}
 	return nil
 }
@@ -40,6 +42,8 @@ type TimeWindow struct {
 
 	entries []timedEntry
 	head    int
+	// expired backs the slice Slide returns, reused across calls.
+	expired []Entry
 }
 
 type timedEntry struct {
@@ -73,13 +77,13 @@ func (w *TimeWindow) Slide(ref tuple.Ref, key tuple.Value, ts uint64) []Entry {
 	if n := len(w.entries); n > w.head && w.entries[n-1].ts > ts {
 		panic(fmt.Sprintf("window: timestamps regressed on stream %d: %d after %d", w.stream, ts, w.entries[n-1].ts))
 	}
-	var expired []Entry
+	w.expired = w.expired[:0]
 	var cutoff uint64
 	if ts > w.span {
 		cutoff = ts - w.span
 	}
 	for w.head < len(w.entries) && w.entries[w.head].ts <= cutoff {
-		expired = append(expired, w.entries[w.head].e)
+		w.expired = append(w.expired, w.entries[w.head].e)
 		w.head++
 	}
 	// Compact once the dead prefix dominates.
@@ -88,7 +92,7 @@ func (w *TimeWindow) Slide(ref tuple.Ref, key tuple.Value, ts uint64) []Entry {
 		w.head = 0
 	}
 	w.entries = append(w.entries, timedEntry{e: Entry{Ref: ref, Key: key}, ts: ts})
-	return expired
+	return w.expired
 }
 
 // Each visits the live entries oldest-first.

@@ -109,3 +109,25 @@ func TestCountWindowSlideAdapter(t *testing.T) {
 		t.Fatal("adapter accessors")
 	}
 }
+
+// TestSlideDoesNotAllocate pins Slide's allocation-free steady state
+// when called through the interface, as the engine does once per
+// input tuple.
+func TestSlideDoesNotAllocate(t *testing.T) {
+	for name, s := range map[string]Slider{
+		"count": New(0, 4),
+		"time":  NewTime(0, 4),
+	} {
+		var seq uint64
+		slide := func() {
+			seq++
+			s.Slide(tuple.Ref{Stream: 0, Seq: seq}, tuple.Value(seq), seq)
+		}
+		for i := 0; i < 256; i++ { // fill the window and grow its buffers
+			slide()
+		}
+		if n := testing.AllocsPerRun(1000, slide); n != 0 {
+			t.Errorf("%s window: %.2f allocations per Slide, want 0", name, n)
+		}
+	}
+}

@@ -27,6 +27,8 @@ type Window struct {
 	buf   []Entry
 	head  int // index of oldest
 	count int
+	// expired backs the slice Slide returns.
+	expired [1]Entry
 }
 
 // New returns a window of the given size (tuples) for stream id.
