@@ -323,6 +323,23 @@ func (c *Controller) Inflight() int64 {
 	return c.budget.Inflight()
 }
 
+// MaxBatch returns the most tuples, each costing bytesPerTuple, that
+// one AdmitBatch call can ever admit: the token bucket's burst and the
+// whole in-flight budget each cap a single decision. It is limit when
+// neither is configured or c is nil, and never more than limit.
+func (c *Controller) MaxBatch(bytesPerTuple int64, limit int) int {
+	if c == nil {
+		return limit
+	}
+	if c.bucket != nil && c.bucket.burst < float64(limit) {
+		limit = int(c.bucket.burst)
+	}
+	if c.budget != nil && bytesPerTuple > 0 && c.budget.limit/bytesPerTuple < int64(limit) {
+		limit = int(c.budget.limit / bytesPerTuple)
+	}
+	return limit
+}
+
 // Snapshot returns the controller's accounting. Zero for a nil
 // controller.
 func (c *Controller) Snapshot() Stats {

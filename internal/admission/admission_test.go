@@ -10,8 +10,8 @@ import (
 // controller tests.
 type clock struct{ t time.Time }
 
-func newClock() *clock              { return &clock{t: time.Unix(1000, 0)} }
-func (c *clock) now() time.Time     { return c.t }
+func newClock() *clock               { return &clock{t: time.Unix(1000, 0)} }
+func (c *clock) now() time.Time      { return c.t }
 func (c *clock) add(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestZeroConfigAdmitsEverything(t *testing.T) {
@@ -196,5 +196,30 @@ func TestBucketNonMonotonicClock(t *testing.T) {
 	}
 	if !b.Take(1, now.Add(10*time.Millisecond)) {
 		t.Fatal("forward progress refused after a clock blip")
+	}
+}
+
+// TestMaxBatch: the largest single admittable batch is capped by the
+// bucket's burst and by the whole budget, whichever is smaller.
+func TestMaxBatch(t *testing.T) {
+	var nilCtrl *Controller
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{}, 512},
+		{Config{InflightBytes: 8 * 32}, 8},
+		{Config{InflightBytes: 8*32 + 31}, 8},
+		{Config{InflightBytes: 16}, 0},
+		{Config{Rate: 100, Burst: 20}, 20},
+		{Config{Rate: 100}, 100}, // burst defaults to the rate
+		{Config{Rate: 1e6, Burst: 1e6, InflightBytes: 10 * 32}, 10},
+	} {
+		if got := MustNew(tc.cfg).MaxBatch(32, 512); got != tc.want {
+			t.Errorf("%+v: MaxBatch = %d, want %d", tc.cfg, got, tc.want)
+		}
+	}
+	if got := nilCtrl.MaxBatch(32, 512); got != 512 {
+		t.Errorf("nil controller: MaxBatch = %d, want 512", got)
 	}
 }

@@ -212,7 +212,13 @@ func (p *Proxy) acceptLoop() {
 		p.mu.Lock()
 		seq := p.seq
 		p.seq++
-		if p.closed.Load() {
+		if p.closed.Load() || p.partitioned.Load() {
+			// A partition that went up while this dial was being
+			// proxied has already swept p.links; registering the link
+			// now would let it outlive the partition.
+			if p.partitioned.Load() {
+				p.partitionDrops.Add(1)
+			}
 			p.mu.Unlock()
 			hardClose(c)
 			hardClose(s)

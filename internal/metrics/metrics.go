@@ -8,7 +8,9 @@
 // goroutine can be snapshotted concurrently from any other goroutine —
 // monitoring never round-trips through the executor's control channel.
 // The latency samples (a slice) are guarded by a small mutex taken
-// only on transition, on the first output after one, and on Snapshot.
+// only on transition, on the first output after one, and on Snapshot;
+// an atomic flag tells every other output that it has nothing to
+// record, so steady-state outputs neither lock nor read the clock.
 package metrics
 
 import (
@@ -50,12 +52,15 @@ type Collector struct {
 	// track double-processing).
 	MigrationWork atomic.Uint64
 
+	// awaitingOutput is set by a transition and cleared by the first
+	// output after it. It is written under mu but read without it, so
+	// outputs outside that window skip the lock and the clock.
+	awaitingOutput atomic.Bool
 	// mu guards the transition-to-first-output latency bookkeeping
 	// (§6.3); counters above are deliberately outside it.
-	mu             sync.Mutex
-	transitionAt   time.Time
-	awaitingOutput bool
-	latencies      []time.Duration
+	mu           sync.Mutex
+	transitionAt time.Time
+	latencies    []time.Duration
 }
 
 // MarkTransition records that a plan transition was triggered now.
@@ -63,18 +68,23 @@ func (c *Collector) MarkTransition(now time.Time) {
 	c.Transitions.Add(1)
 	c.mu.Lock()
 	c.transitionAt = now
-	c.awaitingOutput = true
+	c.awaitingOutput.Store(true)
 	c.mu.Unlock()
 }
 
-// MarkOutput records a root output at time now; the first one after a
-// transition closes the output-latency measurement.
-func (c *Collector) MarkOutput(now time.Time) {
+// MarkOutput records a root output. The first one after a transition
+// reads clock once and closes the output-latency measurement; every
+// other output costs one atomic add and one atomic load.
+func (c *Collector) MarkOutput(clock func() time.Time) {
 	c.Output.Add(1)
+	if !c.awaitingOutput.Load() {
+		return
+	}
+	now := clock()
 	c.mu.Lock()
-	if c.awaitingOutput {
+	if c.awaitingOutput.Load() {
 		c.latencies = append(c.latencies, now.Sub(c.transitionAt))
-		c.awaitingOutput = false
+		c.awaitingOutput.Store(false)
 	}
 	c.mu.Unlock()
 }
@@ -121,7 +131,7 @@ func (c *Collector) Restore(s Snapshot) {
 	c.MigrationWork.Store(s.MigrationWork)
 	c.mu.Lock()
 	c.latencies = append([]time.Duration(nil), s.OutputLatencies...)
-	c.awaitingOutput = false
+	c.awaitingOutput.Store(false)
 	c.mu.Unlock()
 }
 

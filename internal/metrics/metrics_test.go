@@ -13,8 +13,8 @@ func TestOutputLatency(t *testing.T) {
 	if c.Transitions.Load() != 1 {
 		t.Fatalf("Transitions = %d", c.Transitions.Load())
 	}
-	c.MarkOutput(t0.Add(5 * time.Millisecond))
-	c.MarkOutput(t0.Add(9 * time.Millisecond)) // second output: no new latency sample
+	c.MarkOutput(at(t0.Add(5 * time.Millisecond)))
+	c.MarkOutput(at(t0.Add(9 * time.Millisecond))) // second output: no new latency sample
 	if lat := c.OutputLatencies(); len(lat) != 1 {
 		t.Fatalf("latencies = %v, want one sample", lat)
 	} else if lat[0] != 5*time.Millisecond {
@@ -25,7 +25,7 @@ func TestOutputLatency(t *testing.T) {
 	}
 
 	c.MarkTransition(t0.Add(20 * time.Millisecond))
-	c.MarkOutput(t0.Add(120 * time.Millisecond))
+	c.MarkOutput(at(t0.Add(120 * time.Millisecond)))
 	if got := c.MaxOutputLatency(); got != 100*time.Millisecond {
 		t.Fatalf("MaxOutputLatency = %v, want 100ms", got)
 	}
@@ -42,11 +42,11 @@ func TestSnapshotIsCopy(t *testing.T) {
 	var c Collector
 	c.Input.Store(3)
 	c.MarkTransition(time.Unix(0, 0))
-	c.MarkOutput(time.Unix(1, 0))
+	c.MarkOutput(at(time.Unix(1, 0)))
 	s := c.Snapshot()
 	c.Input.Store(99)
 	c.MarkTransition(time.Unix(2, 0))
-	c.MarkOutput(time.Unix(2, 1))
+	c.MarkOutput(at(time.Unix(2, 1)))
 	if s.Input != 3 {
 		t.Fatal("Snapshot shares Input")
 	}
@@ -86,7 +86,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 				c.Input.Add(1)
 				c.Probes.Add(1)
 				if i%100 == 0 {
-					c.MarkOutput(time.Unix(int64(i), 0))
+					c.MarkOutput(at(time.Unix(int64(i), 0)))
 				}
 			}
 		}()
@@ -160,5 +160,69 @@ func TestThroughput(t *testing.T) {
 	}
 	if got := Throughput(500, 250*time.Millisecond); got != 2000 {
 		t.Fatalf("Throughput = %f, want 2000", got)
+	}
+}
+
+// at is a clock that always reads t.
+func at(t time.Time) func() time.Time { return func() time.Time { return t } }
+
+// TestMarkOutputReadsClockOnlyOnTransition: an output reads the clock
+// only when it is the first after a transition; steady-state outputs
+// never do.
+func TestMarkOutputReadsClockOnlyOnTransition(t *testing.T) {
+	var c Collector
+	reads := 0
+	clock := func() time.Time { reads++; return time.Unix(0, int64(reads)) }
+	for i := 0; i < 100; i++ {
+		c.MarkOutput(clock)
+	}
+	if reads != 0 {
+		t.Fatalf("%d clock reads over 100 steady-state outputs, want 0", reads)
+	}
+	c.MarkTransition(time.Unix(0, 0))
+	for i := 0; i < 100; i++ {
+		c.MarkOutput(clock)
+	}
+	if reads != 1 {
+		t.Fatalf("%d clock reads over 100 outputs after a transition, want 1", reads)
+	}
+	if lat := c.OutputLatencies(); len(lat) != 1 || lat[0] != 1 {
+		t.Fatalf("latencies = %v, want [1ns]", lat)
+	}
+	if c.Output.Load() != 200 {
+		t.Fatalf("Output = %d, want 200", c.Output.Load())
+	}
+}
+
+// TestConcurrentTransitionsAndOutputs runs transitions against outputs
+// from other goroutines; under -race it checks the awaiting-output flag
+// and the latency samples stay synchronized. No transition yields more
+// than one sample.
+func TestConcurrentTransitionsAndOutputs(t *testing.T) {
+	var c Collector
+	var wg sync.WaitGroup
+	const transitions = 1000
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.MarkOutput(time.Now)
+				}
+			}
+		}()
+	}
+	for i := 0; i < transitions; i++ {
+		c.MarkTransition(time.Now())
+	}
+	close(stop)
+	wg.Wait()
+	if n := len(c.OutputLatencies()); n > transitions {
+		t.Fatalf("%d latency samples from %d transitions", n, transitions)
 	}
 }

@@ -227,7 +227,10 @@ func TestScopedClientFeedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Input != 4 || st.Output != 2 || st.BatchFlushes != 2 {
+	// The two FEEDB lines go out in one burst and fold into one batch
+	// when both are buffered by the time the server reads the first;
+	// that is timing-dependent, so the hard bounds are 1 ≤ flushes ≤ 2.
+	if st.Input != 4 || st.Output != 2 || st.BatchFlushes < 1 || st.BatchFlushes > 2 {
 		t.Fatalf("scoped stats = %+v", st)
 	}
 	dst, err := c.Stats()

@@ -113,7 +113,8 @@ const maxKeysPerLine = 4096
 // FeedBatch ingests a batch of tuples. Each run of consecutive
 // same-stream events becomes one FEEDB line; all lines are written in
 // one pipelined burst and their acks read afterwards, so an N-run
-// batch costs one round trip instead of len(evs).
+// batch costs one round trip instead of len(evs). The server folds
+// the lines it finds buffered together into one batch.
 func (c *Client) FeedBatch(evs []workload.Event) error { return c.feedBatch("", evs) }
 
 func (c *Client) feedBatch(name string, evs []workload.Event) error {
@@ -221,8 +222,8 @@ type Stats struct {
 	// falling behind.
 	SubsDropped uint64
 	// BatchFillP50 is the median realized ingest batch size in tuples;
-	// BatchFlushes counts FeedBatch invocations on the server (FEEDB
-	// lines plus coalesced FEED runs).
+	// BatchFlushes counts FeedBatch invocations on the server (one per
+	// folded run of pipelined FEED/FEEDB lines).
 	BatchFillP50, BatchFlushes uint64
 	// StateBytes is the resident state footprint across shards;
 	// SpillFaults counts tiered-state bucket faults (0 with spilling

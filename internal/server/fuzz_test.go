@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -144,4 +145,115 @@ func confineCheckpoint(line, dir string) string {
 		return line
 	}
 	return "CHECKPOINT " + filepath.Join(dir, "fuzz.ckpt") + "\n"
+}
+
+// FuzzIngestCoalescing is the differential oracle for folding. The
+// fuzz input decodes to a burst of FEED, FEEDB and other lines, which
+// go to two fresh servers: to one in a single write, so its feed lines
+// fold, and to the other one line per round trip, so none can. Both
+// must answer the same responses in the same order and end with the
+// same STATS input and output on both queries.
+func FuzzIngestCoalescing(f *testing.F) {
+	for _, seed := range []string{
+		"\x00\x01\x02\x00\x11\x03\x00\x22\x04",
+		"\x01\x20\x01\x02\x03\x04\x01\x41\x05\x06\x07\x01\x82\x01\x02\x03",
+		"\x00\x01\x01\x05\x00\x00\x00\x02\x01\x02\x03\x00\x01\x07\x01",
+		"\x02\x00\x01\x03\x21\x02\x03\x04\x01\x00\x06\x00\x02\x03\x04\x01\x03",
+		"\x07\x01\x00\x01\x01\x07\x02\x00\x02\x02\x04\x01\x03\x04\x02\x05",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lines := ingestBurst(data)
+		if len(lines) == 0 {
+			return
+		}
+		folded, foldedStats := runIngest(t, lines, true)
+		single, singleStats := runIngest(t, lines, false)
+		for i := range lines {
+			if folded[i] != single[i] {
+				t.Fatalf("line %d %q: folded %q, unfolded %q\nburst %q", i, lines[i], folded[i], single[i], lines)
+			}
+		}
+		for i, st := range foldedStats {
+			for _, k := range []string{"input", "output"} {
+				if a, b := statField(t, st, k), statField(t, singleStats[i], k); a != b {
+					t.Fatalf("query %d %s: folded %s, unfolded %s\nburst %q", i, k, a, b, lines)
+				}
+			}
+		}
+	})
+}
+
+// ingestBurst decodes fuzz bytes into protocol lines: mostly well-formed
+// and malformed feeds for the default query (streams 0-2) and for
+// "side" (streams 0-1), with some of other verbs between them.
+func ingestBurst(data []byte) []string {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	var lines []string
+	for len(data) > 0 && len(lines) < 256 {
+		op, arg := next(), next()
+		verb := [...]string{"FEED", "FEEDB", "feed", "Feedb"}[arg>>6]
+		target := ""
+		if op&8 != 0 {
+			target = " side"
+		}
+		stream := arg & 3 // 3 is in neither query, 2 not in side
+		switch op & 7 {
+		case 0, 1, 2:
+			line := fmt.Sprintf("%s%s %d %d", verb, target, stream, next()&7)
+			for n := (arg >> 2) & 15; strings.EqualFold(verb, "FEEDB") && n > 0; n-- {
+				line += fmt.Sprintf(" %d", next()&7)
+			}
+			lines = append(lines, line)
+		case 3:
+			lines = append(lines, fmt.Sprintf("%s%s  %d\t%d ", verb, target, stream, next()&7))
+		case 4:
+			lines = append(lines, [...]string{"FEED 0", "FEEDB 1 x", "FEED 0 1 2", "FEEDB"}[arg&3])
+		case 5:
+			lines = append(lines, "PLAN"+target)
+		case 6:
+			lines = append(lines, [...]string{"MIGRATE ((0 2) 1)", "MIGRATE ((1 2) 0)", "MIGRATE side (1 0)", "MIGRATE side (0 1)"}[arg&3])
+		case 7:
+			lines = append(lines, "BOGUS")
+		}
+	}
+	return lines
+}
+
+// runIngest sends lines to a fresh server, in one write when folded and
+// one round trip per line otherwise, and returns the responses and the
+// final STATS lines of the default and side queries.
+func runIngest(t *testing.T, lines []string, folded bool) ([]string, []string) {
+	s, err := New(Config{Pipeline: pipeline.Config{Engine: engine.Config{
+		Plan:       plan.MustLeftDeep(0, 1, 2),
+		WindowSize: 16,
+		Strategy:   core.New(),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.create("side", 8, plan.MustLeftDeep(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c := pipeConn(t, s)
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var resps []string
+	if folded {
+		resps = c.burst(t, lines...)
+	} else {
+		for _, l := range lines {
+			resps = append(resps, c.cmd(t, l))
+		}
+	}
+	return resps, []string{c.cmd(t, "STATS"), c.cmd(t, "STATS side")}
 }

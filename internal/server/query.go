@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -42,11 +43,18 @@ type query struct {
 	// byte sequence must never be able to reach (MaxStreams is 64, so
 	// one word covers every legal id).
 	streamMask uint64
+	// foldMax caps how many tuples pipelined FEED/FEEDB lines fold into
+	// one batch: maxCoalesce, or fewer when one admission decision can
+	// never take that many, so folding never turns lines that are
+	// admittable one at a time into a batch that never is.
+	foldMax int
 
 	mu      sync.Mutex
 	subs    map[int]chan string
 	nextSub int
 	bufSize int
+	// line is broadcast's reused buffer for building result lines.
+	line []byte
 }
 
 func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Config) (*query, error) {
@@ -72,6 +80,7 @@ func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Co
 		q.adm = ctrl
 		cfg.Admission = ctrl
 	}
+	q.foldMax = max(q.adm.MaxBatch(runtime.EventBytes, maxCoalesce), 1)
 	if cfg.Engine.SpillDir != "" {
 		// The flag-level spill dir is shared by every hosted query;
 		// each query's runtime wipes its directory on open, so they
@@ -90,12 +99,22 @@ func newQuery(name string, cfg pipeline.Config, bufSize int, admCfg admission.Co
 // the query's worker goroutine and must not block, so stalled
 // subscribers are dropped — counted and traced, never silently.
 func (q *query) broadcast(d engine.Delta) {
-	verb := "RESULT"
-	if d.Retraction {
-		verb = "RETRACT"
-	}
-	line := fmt.Sprintf("%s %d %s", verb, d.Tuple.Key, d.Tuple.Fingerprint())
 	q.mu.Lock()
+	if len(q.subs) == 0 {
+		q.mu.Unlock()
+		return
+	}
+	b := q.line[:0]
+	if d.Retraction {
+		b = append(b, "RETRACT "...)
+	} else {
+		b = append(b, "RESULT "...)
+	}
+	b = strconv.AppendInt(b, int64(d.Tuple.Key), 10)
+	b = append(b, ' ')
+	b = d.Tuple.AppendFingerprint(b)
+	q.line = b
+	line := string(b)
 	for id, ch := range q.subs {
 		select {
 		case ch <- line:

@@ -9,10 +9,9 @@
 // Protocol (one command per line, ASCII). Commands that omit the query
 // name address the default query:
 //
-//	FEED [query] <stream> <key>      ingest a tuple
+//	FEED [query] <stream> <key>      ingest a tuple (a one-key FEEDB)
 //	FEEDB [query] <stream> <key>...  ingest a batch: every key on the
 //	                                 line becomes one tuple of <stream>,
-//	                                 delivered as a single FeedBatch and
 //	                                 acknowledged with a single OK
 //	MIGRATE [query] <plan>           transition, e.g. MIGRATE ((0 2) 1)
 //	AUTO ON|OFF|STATUS [query]       toggle or inspect the autopilot: a
@@ -48,9 +47,9 @@
 //	                                            batch size, in tuples
 //	                                            (0 until batches flow)
 //	batch_flushes                               ingest batches processed
-//	                                            (FeedBatch calls: FEEDB
-//	                                            lines plus coalesced
-//	                                            FEED runs)
+//	                                            (FeedBatch calls: one
+//	                                            per folded run of FEED/
+//	                                            FEEDB lines, see below)
 //	auto_enabled                                1 while the autopilot is
 //	                                            on for the query
 //	auto_proposals, auto_migrations,            plan changes proposed /
@@ -83,9 +82,12 @@
 // "ERR line longer than ..." and the connection survives, it is not
 // silently dropped. Pipelined commands are acknowledged in order but
 // flushed together — one write per drained read buffer, not one per
-// ack — and consecutive FEED lines for the same query already sitting
-// in the read buffer are coalesced into a single FeedBatch (still one
-// OK per line).
+// ack. FEED/FEEDB lines for one query that sit together in the read
+// buffer fold into one FeedBatch (one admission decision, queue slot
+// and WAL record) of at most 512 tuples, fewer under a tight admission
+// limit; each folded line still gets its own OK, or the batch's ERR.
+// Folding stops at another verb or query, a line that fails to parse,
+// and the drain fence.
 //
 // ServeTelemetry additionally exposes HTTP observability (/metrics
 // Prometheus text, /trace JSON event dump, /healthz, /debug/pprof/) —
@@ -106,6 +108,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"jisc/internal/adaptive"
 	"jisc/internal/admission"
@@ -468,17 +471,6 @@ func (s *Server) Subscribers(name string) int {
 	return q.subscribers()
 }
 
-// lookup resolves a query by name.
-func (s *Server) lookup(name string) (*query, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queries[name]
-	if !ok {
-		return nil, fmt.Errorf("no query %q", name)
-	}
-	return q, nil
-}
-
 // create starts a new named query from the server template. With
 // durability on it is logged to the catalog before the OK: the command
 // sequence is newQuery (validates everything and brings the runtime
@@ -608,20 +600,38 @@ type lockedWriter struct {
 	timeout time.Duration
 }
 
-// writeLine buffers one line without flushing: the command loop
-// flushes once per drained read buffer (just before it would block on
-// the next read) so a pipelined burst of commands costs one write
-// syscall for all its acks, and streamers flush when their channel
-// runs dry.
-func (lw *lockedWriter) writeLine(format string, args ...any) error {
+// writeLines buffers n copies of line, each newline-terminated, without
+// flushing: the command loop flushes once per drained read buffer (just
+// before it would block on the next read) so a pipelined burst of
+// commands costs one write syscall for all its acks, and streamers
+// flush when their channel runs dry.
+func (lw *lockedWriter) writeLines(n int, line string) error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	lw.armDeadline()
-	_, err := fmt.Fprintf(lw.w, format+"\n", args...)
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		if _, err = lw.w.WriteString(line); err == nil {
+			err = lw.w.WriteByte('\n')
+		}
+	}
 	if err != nil {
 		lw.conn.Close()
 	}
 	return err
+}
+
+// writeLine buffers one formatted line.
+func (lw *lockedWriter) writeLine(format string, args ...any) error {
+	return lw.writeLines(1, fmt.Sprintf(format, args...))
+}
+
+// ackLine is the OK or ERR response to a command.
+func ackLine(err error) string {
+	if err != nil {
+		return "ERR " + err.Error()
+	}
+	return "OK"
 }
 
 func (lw *lockedWriter) flush() error {
@@ -652,9 +662,10 @@ func (lw *lockedWriter) armDeadline() {
 // default token limit).
 const maxLineBytes = 1 << 20
 
-// maxCoalesce bounds how many consecutive buffered FEED lines fold
-// into one FeedBatch, so one connection's burst cannot monopolize a
-// shard queue slot arbitrarily.
+// maxCoalesce bounds how many tuples consecutive buffered FEED/FEEDB
+// lines fold into one FeedBatch, so one connection's burst cannot
+// monopolize a shard queue slot arbitrarily. (A single FEEDB line may
+// carry more; it is never split.)
 const maxCoalesce = 512
 
 var errLineTooLong = errors.New("line too long")
@@ -704,24 +715,33 @@ func bufferedLine(br *bufio.Reader) (string, int, bool) {
 	return string(buffered[:nl]), nl + 1, true
 }
 
+// cutField splits s, as strings.Fields would, into its first field and
+// the rest, with the white space between them (and before the field)
+// dropped.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	i := strings.IndexFunc(s, unicode.IsSpace)
+	if i < 0 {
+		return s, ""
+	}
+	return s[:i], strings.TrimLeftFunc(s[i:], unicode.IsSpace)
+}
+
 // splitQuery interprets the optional leading query name of a command:
 // when the first field names a hosted query, it is consumed; otherwise
-// the default query is addressed.
+// the default query is addressed. The arguments come back trimmed.
 func (s *Server) splitQuery(rest string) (*query, string, error) {
-	fields := strings.Fields(rest)
-	if len(fields) > 0 {
-		s.mu.Lock()
-		q, ok := s.queries[fields[0]]
-		s.mu.Unlock()
-		if ok {
-			return q, strings.Join(fields[1:], " "), nil
-		}
+	name, args := cutField(rest)
+	s.mu.Lock()
+	q, named := s.queries[name]
+	if !named {
+		q, args = s.queries[DefaultQuery], strings.TrimSpace(rest)
 	}
-	q, err := s.lookup(DefaultQuery)
-	if err != nil {
+	s.mu.Unlock()
+	if q == nil {
 		return nil, "", fmt.Errorf("no default query; name one of %v", s.Queries())
 	}
-	return q, rest, nil
+	return q, args, nil
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -749,12 +769,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		subWG.Wait()
 	}()
-	respond := func(err error) error {
-		if err != nil {
-			return lw.writeLine("ERR %v", err)
-		}
-		return lw.writeLine("OK")
-	}
+	respond := func(err error) error { return lw.writeLines(1, ackLine(err)) }
 	for {
 		if _, _, ok := bufferedLine(br); !ok {
 			// About to block (no complete line buffered): everything
@@ -794,12 +809,13 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var werr error
 		verb, rest, _ := strings.Cut(line, " ")
+		cmd := strings.ToUpper(verb)
 		if s.draining.Load() {
 			// The drain fence: mutating commands are rejected retriably
 			// (the client's BUSY backoff will land on the replacement
 			// process after the rolling restart) while reads keep
 			// answering so operators can watch the drain progress.
-			switch strings.ToUpper(verb) {
+			switch cmd {
 			case "FEED", "FEEDB", "MIGRATE", "CREATE", "DROP", "CHECKPOINT", "AUTO":
 				if respond(admission.Busy("draining")) != nil {
 					return
@@ -807,73 +823,51 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 		}
-		switch strings.ToUpper(verb) {
+		switch cmd {
 		case "FEED", "FEEDB", "MIGRATE", "CREATE", "DROP":
 			if !s.durable.Enabled() {
 				s.walDisabled.Add(1)
 			}
 		}
-		switch strings.ToUpper(verb) {
-		case "FEED":
-			q, args, err := s.splitQuery(rest)
-			var ev workload.Event
-			if err == nil {
-				ev, err = parseFeedEvent(args)
-			}
-			if err == nil && !q.hasStream(ev.Stream) {
-				err = fmt.Errorf("stream %d not in query %q", ev.Stream, q.name)
-			}
+		switch cmd {
+		case "FEED", "FEEDB":
+			q, evs, err := s.parseFeed(cmd, rest, batch[:0])
 			if err != nil {
 				werr = respond(err)
 				break
 			}
-			batch = append(batch[:0], ev)
-			// Coalesce consecutive FEEDs to the same query already
-			// sitting in the read buffer: the whole run becomes one
-			// FeedBatch — one queue slot and, on a durable server, one
-			// WAL frame — while the client still sees one OK per line.
-			acks := 1
-			for len(batch) < maxCoalesce {
+			// Fold the FEED/FEEDB lines for the same query already
+			// sitting in the read buffer into this batch: the whole run
+			// is one FeedBatch — one admission decision, one queue slot
+			// and, on a durable server, one WAL frame — while the client
+			// still sees one ack per line. The drain fence is checked
+			// per line, as for unfolded lines.
+			batch = evs
+			lines := 1
+			for len(batch) < q.foldMax && !s.draining.Load() {
 				next, consume, ok := bufferedLine(br)
 				if !ok {
 					break
 				}
 				v, r, _ := strings.Cut(strings.TrimSpace(next), " ")
-				if !strings.EqualFold(v, "FEED") {
+				if !strings.EqualFold(v, "FEED") && !strings.EqualFold(v, "FEEDB") {
 					break
 				}
-				q2, args2, err2 := s.splitQuery(r)
-				if err2 != nil || q2 != q {
-					break
-				}
-				ev2, err2 := parseFeedEvent(args2)
-				if err2 != nil || !q.hasStream(ev2.Stream) {
+				q2, evs2, err2 := s.parseFeed(v, r, batch)
+				if err2 != nil || q2 != q || len(evs2) > q.foldMax {
 					break
 				}
 				br.Discard(consume)
-				batch = append(batch, ev2)
-				acks++
+				batch = evs2
+				lines++
 			}
-			if acks > 1 && !s.durable.Enabled() {
-				s.walDisabled.Add(uint64(acks - 1)) // the first FEED is counted above
+			if !s.durable.Enabled() {
+				s.walDisabled.Add(uint64(lines - 1)) // the first line is counted above
 			}
-			ferr := q.runner.FeedBatch(batch)
-			for i := 0; i < acks && werr == nil; i++ {
-				werr = respond(ferr)
+			werr = lw.writeLines(lines, ackLine(q.runner.FeedBatch(batch)))
+			if cap(batch) > 4*maxCoalesce {
+				batch = nil // one long FEEDB line must not pin its buffer for the connection's life
 			}
-		case "FEEDB":
-			q, args, err := s.splitQuery(rest)
-			if err == nil {
-				var evs []workload.Event
-				if evs, err = parseFeedBatch(args); err == nil {
-					if len(evs) > 0 && !q.hasStream(evs[0].Stream) {
-						err = fmt.Errorf("stream %d not in query %q", evs[0].Stream, q.name)
-					} else {
-						err = q.runner.FeedBatch(evs)
-					}
-				}
-			}
-			werr = respond(err)
 		case "MIGRATE":
 			q, args, err := s.splitQuery(rest)
 			if err == nil {
@@ -906,7 +900,7 @@ func (s *Server) handle(conn net.Conn) {
 			go func() {
 				defer subWG.Done()
 				for l := range ch {
-					if err := lw.writeLine("%s", l); err != nil {
+					if err := lw.writeLines(1, l); err != nil {
 						return
 					}
 					// Flush when the channel runs dry: bursts batch
@@ -1033,7 +1027,7 @@ func (s *Server) handle(conn net.Conn) {
 		case "LIST":
 			werr = lw.writeLine("QUERIES %s", strings.Join(s.Queries(), " "))
 		case "QUIT":
-			lw.writeLine("OK")
+			respond(nil)
 			lw.flush()
 			return
 		default:
@@ -1053,42 +1047,38 @@ func parseStream(field string) (tuple.StreamID, error) {
 	return tuple.StreamID(stream), nil
 }
 
-func parseFeedEvent(rest string) (workload.Event, error) {
-	fields := strings.Fields(rest)
-	if len(fields) != 2 {
-		return workload.Event{}, fmt.Errorf("FEED wants [query] <stream> <key>")
-	}
-	stream, err := parseStream(fields[0])
+// parseFeed parses the arguments of a FEED or FEEDB line (verb, in any
+// case), "[query] <stream> <key>...", and appends its tuples, in line
+// order, to dst. FEED is a FEEDB of exactly one key.
+func (s *Server) parseFeed(verb, rest string, dst []workload.Event) (*query, []workload.Event, error) {
+	q, args, err := s.splitQuery(rest)
 	if err != nil {
-		return workload.Event{}, err
+		return nil, nil, err
 	}
-	key, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return workload.Event{}, fmt.Errorf("bad key %q", fields[1])
-	}
-	return workload.Event{Stream: stream, Key: tuple.Value(key)}, nil
-}
-
-// parseFeedBatch parses the tail of "FEEDB [query] <stream> <key>
-// [<key>...]": one batch of same-stream tuples in line order.
-func parseFeedBatch(rest string) ([]workload.Event, error) {
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return nil, fmt.Errorf("FEEDB wants [query] <stream> <key> [<key>...]")
-	}
-	stream, err := parseStream(fields[0])
-	if err != nil {
-		return nil, err
-	}
-	evs := make([]workload.Event, len(fields)-1)
-	for i, f := range fields[1:] {
-		key, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad key %q", f)
+	field, keys := cutField(args)
+	if strings.EqualFold(verb, "FEED") {
+		if _, extra := cutField(keys); keys == "" || extra != "" {
+			return nil, nil, errors.New("FEED wants [query] <stream> <key>")
 		}
-		evs[i] = workload.Event{Stream: stream, Key: tuple.Value(key)}
+	} else if keys == "" {
+		return nil, nil, errors.New("FEEDB wants [query] <stream> <key> [<key>...]")
 	}
-	return evs, nil
+	stream, err := parseStream(field)
+	if err != nil {
+		return nil, nil, err
+	}
+	for keys != "" {
+		field, keys = cutField(keys)
+		key, err := strconv.ParseInt(field, 10, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad key %q", field)
+		}
+		dst = append(dst, workload.Event{Stream: stream, Key: tuple.Value(key)})
+	}
+	if !q.hasStream(stream) {
+		return nil, nil, fmt.Errorf("stream %d not in query %q", stream, q.name)
+	}
+	return q, dst, nil
 }
 
 // Close stops accepting, closes every connection, and shuts all

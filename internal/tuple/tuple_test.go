@@ -194,6 +194,15 @@ func TestFingerprintCanonical(t *testing.T) {
 	if left.Fingerprint() != "0#1|1#2|2#3" {
 		t.Errorf("fingerprint = %q", left.Fingerprint())
 	}
+	// AppendFingerprint extends dst in place of allocating.
+	buf := make([]byte, 0, 64)
+	buf = append(buf, "RESULT 5 "...)
+	if got := string(left.AppendFingerprint(buf)); got != "RESULT 5 0#1|1#2|2#3" {
+		t.Errorf("AppendFingerprint = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = left.AppendFingerprint(buf[:0]) }); n != 0 {
+		t.Errorf("AppendFingerprint into a large enough buffer: %v allocs, want 0", n)
+	}
 }
 
 // Property: joining any permutation of base tuples yields the same
